@@ -368,12 +368,13 @@ impl TxnCtx<'_> {
         // late write could stomp a *newer* value committed after the
         // sweep healed and released the record.
         self.remote_update(&remote_new_seqs).await?;
-        let (remote_write_ns, remote_write_wait) = lap(self.w);
-        phase_span(Phase::Update.name(), remote_write_ns);
 
         // Inserts and deletes become visible only now, after validation
-        // and logging.
+        // and logging. Their installation is update work, billed to C.5
+        // so the unlock bucket holds only C.6.
         self.apply_mutations();
+        let (remote_write_ns, remote_write_wait) = lap(self.w);
+        phase_span(Phase::Update.name(), remote_write_ns);
 
         // The transaction reports committed here; C.6 happens after. A
         // crash at C.5 is therefore a *committed* transaction whose
@@ -447,10 +448,9 @@ impl TxnCtx<'_> {
 
     /// Whether commit-phase verbs ride the batched work-queue paths.
     /// The messaging ablation's verbs are SEND/RECV round trips with no
-    /// doorbell to amortise, so it always takes the per-record path.
-    fn batched_verbs(&self) -> bool {
-        let opts = &self.w.cluster.opts;
-        opts.batched_verbs && !opts.msg_locking
+    /// doorbell to amortise, so it takes the per-record path.
+    fn batched(&self) -> bool {
+        !self.w.cluster.opts.msg_locking
     }
 
     /// The error a failed lock acquisition surfaces: a dead machine is a
@@ -526,8 +526,8 @@ impl TxnCtx<'_> {
     }
 
     /// Acquires every lock in `addrs` (already sorted) with RDMA CAS —
-    /// batched one doorbell per destination node, or one blocking CAS
-    /// per record on the legacy path.
+    /// batched one doorbell per destination node, or one blocking
+    /// round trip per record under the messaging ablation.
     ///
     /// On failure returns the locks actually acquired (the batched path
     /// can win later CASes of a batch whose earlier one lost, so this is
@@ -541,7 +541,7 @@ impl TxnCtx<'_> {
         addrs: &[LockAddr],
         wait: bool,
     ) -> Result<(), (Vec<LockAddr>, TxnError)> {
-        if self.batched_verbs() {
+        if self.batched() {
             self.lock_all_batched(addrs, wait).await
         } else {
             self.lock_all_blocking(addrs, wait).await
@@ -716,7 +716,7 @@ impl TxnCtx<'_> {
             return;
         }
         let me = lock_word(self.w.node);
-        if !self.batched_verbs() {
+        if !self.batched() {
             for &(node, rec_off) in addrs {
                 let res = self.remote_cas(node, rec_off, me, LOCK_FREE);
                 debug_assert!(res.is_ok(), "lost a lock we held");
@@ -783,8 +783,8 @@ impl TxnCtx<'_> {
 
     /// C.5: writes every remote write-set primary under its lock. The
     /// batched path posts all per-line WRITEs for one destination node
-    /// and rings a single doorbell; the legacy path issues one blocking
-    /// WRITE per line per record.
+    /// and rings a single doorbell; the messaging ablation issues one
+    /// blocking WRITE per line per record.
     ///
     /// A machine that died mid-step stops issuing doorbells — its redo
     /// entries are durable, so the recovery sweep rolls the still-locked
@@ -792,7 +792,7 @@ impl TxnCtx<'_> {
     async fn remote_update(&mut self, new_seqs: &[u64]) -> Result<(), TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let me = self.w.node;
-        if !self.batched_verbs() {
+        if !self.batched() {
             for i in 0..self.r_ws.len() {
                 if !cluster.is_alive(me) {
                     return Err(TxnError::Crashed);
@@ -925,7 +925,7 @@ impl TxnCtx<'_> {
         addrs: &[(NodeId, usize)],
     ) -> Result<Vec<RecordHeader>, TxnError> {
         let opts = &self.w.cluster.opts;
-        if self.batched_verbs() && !opts.fuse_lock_validate {
+        if self.batched() && !opts.fuse_lock_validate {
             let mut uniq: Vec<(NodeId, usize)> = Vec::with_capacity(addrs.len());
             let mut map: Vec<usize> = Vec::with_capacity(addrs.len());
             for &a in addrs {
@@ -1237,7 +1237,7 @@ impl TxnCtx<'_> {
     /// local writes).
     async fn append_logs(&mut self, entries: Vec<(NodeId, LogEntry)>) -> bool {
         let cluster = Arc::clone(&self.w.cluster);
-        let batched = self.batched_verbs();
+        let batched = self.batched();
         let mut primaries: Vec<NodeId> = entries.iter().map(|(p, _)| *p).collect();
         primaries.sort_unstable();
         primaries.dedup();

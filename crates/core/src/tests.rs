@@ -723,39 +723,32 @@ fn fused_lock_validate_produces_same_results() {
 /// per (txn, destination node) in C.1, C.2, C.5 and C.6 — one CAS
 /// batch, one header-READ batch, one WRITE batch, one unlock batch
 /// against node 1 no matter how many records the txn touches there.
-/// The legacy path pays one doorbell per verb across the board.
 #[test]
 fn one_doorbell_per_destination_in_commit_fanout() {
     let k = 3u64;
-    let run_once = |batched: bool| -> drtm_rdma::NicSnapshot {
-        let opts = EngineOpts::builder()
-            .region_size(4 << 20)
-            .batched_verbs(batched)
-            .build();
-        let c = DrtmCluster::new(2, &schema(), opts);
-        for shard in 0..2 {
-            for i in 0..8u64 {
-                c.seed_record(shard, T_ACCT, key(shard, i), &val(100));
-            }
+    let opts = EngineOpts::builder().region_size(4 << 20).build();
+    let c = DrtmCluster::new(2, &schema(), opts);
+    for shard in 0..2 {
+        for i in 0..8u64 {
+            c.seed_record(shard, T_ACCT, key(shard, i), &val(100));
         }
-        let mut w = c.worker(0, 1);
-        let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
-        w.run(|t| {
-            for i in 0..k {
-                let v = t.read(1, T_ACCT, key(1, i))?;
-                t.write(1, T_ACCT, key(1, i), val(num(&v) + 1))?;
-            }
-            // Snapshot after execute: the remaining delta against node 1
-            // is exactly the commit fan-out (C.1, C.2, C.5, C.6).
-            base.set(c.fabric.port(1).stats().snapshot());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(w.stats.committed, 1);
-        c.fabric.port(1).stats().snapshot().delta(&base.get())
-    };
+    }
+    let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
+    w.run(|t| {
+        for i in 0..k {
+            let v = t.read(1, T_ACCT, key(1, i))?;
+            t.write(1, T_ACCT, key(1, i), val(num(&v) + 1))?;
+        }
+        // Snapshot after execute: the remaining delta against node 1
+        // is exactly the commit fan-out (C.1, C.2, C.5, C.6).
+        base.set(c.fabric.port(1).stats().snapshot());
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(w.stats.committed, 1);
+    let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
 
-    let d = run_once(true);
     assert_eq!(d.atomics, 2 * k, "k lock + k unlock CAS: {d:?}");
     assert_eq!(d.writes, k, "one C.5 line image per record: {d:?}");
     // Every record is both read and written, so its C.2 validation and
@@ -767,15 +760,35 @@ fn one_doorbell_per_destination_in_commit_fanout() {
         d.doorbells, 4,
         "exactly one doorbell each for C.1, C.2, C.5 and C.6: {d:?}"
     );
+}
 
-    let d = run_once(false);
-    assert_eq!(d.atomics, 2 * k);
-    assert_eq!(d.saved, 0, "the blocking path coalesces nothing: {d:?}");
-    assert_eq!(
-        d.doorbells,
-        d.reads + d.writes + d.atomics,
-        "legacy path: one doorbell per verb: {d:?}"
-    );
+/// Phase attribution: installing inserts and deletes is C.5 update
+/// work. An all-local insert-only transaction holds no locks, so its
+/// C.6 unlock bucket must be exactly zero while the insert's record
+/// logic lands in the update bucket.
+#[cfg(feature = "obs")]
+#[test]
+fn insert_installation_bills_update_not_unlock() {
+    let c = cluster(2, 1);
+    let mut w = c.worker(0, 1);
+    w.run(|t| {
+        t.insert(0, T_ACCT, key(0, 1000), val(7));
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(w.stats.committed, 1);
+    let snap = c.obs.scrape();
+    let phase = |name: &str| {
+        snap.phases
+            .iter()
+            .find(|(p, _)| *p == name)
+            .map(|(_, h)| *h)
+            .unwrap_or_else(|| panic!("phase {name} missing"))
+    };
+    let (update, unlock) = (phase("update"), phase("unlock"));
+    assert_eq!((update.count, unlock.count), (1, 1));
+    assert!(update.sum > 0, "insert installation bills C.5: {update:?}");
+    assert_eq!(unlock.sum, 0, "C.6 holds only unlock work: {unlock:?}");
 }
 
 /// One-shot injector: drops the `n`-th verb of class `verb` issued from
@@ -1217,31 +1230,34 @@ fn conflicting_routines_make_progress() {
     assert_eq!(a + b, 2000, "transfers conserve under contention");
 }
 
-/// Admission control sheds at the high-water mark and counts it.
+/// Admission control sheds at the high-water mark and counts it — on a
+/// one-queue group, the shape the serving tier uses with routing off.
 #[test]
 fn submit_queue_sheds_past_high_water() {
-    use crate::routine::{Admission, SubmitQueue};
-    let q: SubmitQueue<u64> = SubmitQueue::new(3);
-    assert_eq!(q.submit(1), Admission::Admitted);
-    assert_eq!(q.submit(2), Admission::Admitted);
-    assert_eq!(q.submit(3), Admission::Admitted);
-    assert_eq!(q.submit(4), Admission::Rejected, "queue full must shed");
-    assert_eq!(q.depth(), 3);
-    assert_eq!(q.try_pop(), Some(1));
-    assert_eq!(q.delivered(), 1, "pop counts as a delivery");
-    assert_eq!(q.submit(5), Admission::Admitted, "pop frees a slot");
-    assert_eq!((q.accepted(), q.rejected()), (4, 1));
+    use crate::routine::{Admission, QueueGroup};
+    let q: QueueGroup<u64> = QueueGroup::new(1, 3, 3, 2);
+    assert_eq!(q.submit(0, 1), Admission::Admitted);
+    assert_eq!(q.submit(0, 2), Admission::Admitted);
+    assert_eq!(q.submit(0, 3), Admission::Admitted);
+    assert_eq!(q.submit(0, 4), Admission::Rejected, "queue full must shed");
+    assert_eq!(q.depth_total(), 3);
+    assert_eq!(q.try_pop(0), Some(1));
+    assert_eq!(q.delivered(0), 1, "pop counts as a delivery");
+    assert_eq!(q.submit(0, 5), Admission::Admitted, "pop frees a slot");
+    assert_eq!((q.accepted_total(), q.rejected_total()), (4, 1));
     q.close();
-    assert_eq!(q.submit(6), Admission::Rejected, "closed queue sheds");
-    // The backlog still drains after close, then pops report done.
-    assert_eq!(q.pop_blocking(), Some(2));
-    assert_eq!(q.pop_blocking(), Some(3));
-    assert_eq!(q.pop_blocking(), Some(5));
-    assert_eq!(q.pop_blocking(), None);
+    assert_eq!(q.submit(0, 6), Admission::Rejected, "closed queue sheds");
+    // The backlog still drains after close, then pops report done; a
+    // lone queue has no sibling to steal from, whatever the reserve.
+    assert_eq!(q.pop_blocking(0), Some(2));
+    assert_eq!(q.pop_blocking(0), Some(3));
+    assert_eq!(q.pop_blocking(0), Some(5));
+    assert_eq!(q.pop_blocking(0), None);
+    assert_eq!(q.steals_total(), 0);
     assert_eq!(q.wait_hist().count(), 4, "every delivery recorded a wait");
     assert_eq!(
-        q.delivered(),
-        q.accepted(),
+        q.delivered_total(),
+        q.accepted_total(),
         "every admitted item was delivered; a shed or closing pop must not count"
     );
 }
@@ -1362,7 +1378,7 @@ fn serve_group_drains_skewed_load_via_steals() {
                     let workers: Vec<_> = (0..2)
                         .map(|id| c.worker(pool, 700 + (pool * 10 + id) as u64))
                         .collect();
-                    RoutinePool::serve_group(workers, &g, pool, async |_, w, k| {
+                    RoutinePool::serve(workers, &g, pool, async |_, w, k| {
                         w.run_async(async |t| {
                             let a = num(&t.read_async(0, T_ACCT, key(0, k)).await?);
                             let b = num(&t.read_async(1, T_ACCT, key(1, k)).await?);
@@ -1410,17 +1426,19 @@ fn serve_group_drains_skewed_load_via_steals() {
 /// leave the baton while the queue is empty (host-time block, no
 /// virtual-time burn), re-join on arrival, and retire cleanly when the
 /// queue closes. Every submitted transfer commits exactly once.
+/// Served from a one-queue group, as the serving tier does with
+/// routing off.
 #[test]
 fn serve_drains_external_submissions_and_stops_on_close() {
-    use crate::routine::{Admission, RoutinePool, SubmitQueue};
+    use crate::routine::{Admission, QueueGroup, RoutinePool};
     let c = cluster(2, 1);
-    let q: Arc<SubmitQueue<u64>> = Arc::new(SubmitQueue::new(1024));
+    let q: Arc<QueueGroup<u64>> = Arc::new(QueueGroup::new(1, 1024, 1024, 0));
     const SUBMITTED: u64 = 40;
     let producer = {
         let q = Arc::clone(&q);
         std::thread::spawn(move || {
             for i in 0..SUBMITTED {
-                assert_eq!(q.submit(i % 8), Admission::Admitted);
+                assert_eq!(q.submit(0, i % 8), Admission::Admitted);
                 if i % 16 == 7 {
                     // Let the pool empty the queue so the leave/join
                     // path (external block) actually exercises.
@@ -1431,7 +1449,7 @@ fn serve_drains_external_submissions_and_stops_on_close() {
         })
     };
     let workers: Vec<_> = (0..3).map(|id| c.worker(0, 500 + id as u64)).collect();
-    let done = RoutinePool::serve(workers, &q, async |_, w, k| {
+    let done = RoutinePool::serve(workers, &q, 0, async |_, w, k| {
         w.run_async(async |t| {
             let a = num(&t.read_async(0, T_ACCT, key(0, k)).await?);
             let b = num(&t.read_async(1, T_ACCT, key(1, k)).await?);
@@ -1443,13 +1461,13 @@ fn serve_drains_external_submissions_and_stops_on_close() {
     });
     producer.join().unwrap();
     assert_eq!(done.len(), 3);
-    assert_eq!(q.accepted(), SUBMITTED);
+    assert_eq!(q.accepted_total(), SUBMITTED);
     assert_eq!(
-        q.delivered(),
+        q.delivered_total(),
         SUBMITTED,
         "every admission reached a routine"
     );
-    assert_eq!(q.depth(), 0, "close drains the backlog");
+    assert_eq!(q.depth_total(), 0, "close drains the backlog");
     let snap = c.obs.scrape();
     assert_eq!(snap.committed, SUBMITTED);
     // Conservation: each key moved (submissions of that key) units.

@@ -19,21 +19,22 @@
 //!   outbox, which a per-connection **writer** thread flushes — engine
 //!   routines never block on socket I/O.
 //!
-//! The admission plane takes one of two shapes per
+//! The admission plane is one [`QueueGroup`], shaped by
 //! [`ServerCfg::route`]:
 //!
-//! * **`RoutePolicy::Shared`** (default): one bounded [`SubmitQueue`]
-//!   drained by every pump — byte-identical to the pre-routing server,
-//!   the baseline its regression pins hold against.
-//! * **`RoutePolicy::Routed`** (DESIGN.md §16): a [`QueueGroup`] of
-//!   per-pool queues. Admission routes each request to its *home* pool
+//! * **`RoutePolicy::Shared`** (default): a group of one queue drained
+//!   by every pump — the baseline the routed regression pins hold
+//!   against. The router is never consulted.
+//! * **`RoutePolicy::Routed`** (DESIGN.md §16): one queue per pool.
+//!   Admission routes each request to its *home* pool
 //!   ([`crate::route::home_of`]: majority shard, first-writer
 //!   tiebreak), so single-home requests execute as all-local HTM
 //!   transactions with zero commit-path verbs; an empty pool steals
 //!   the oldest item from the deepest sibling queue, never draining it
 //!   below [`ServerCfg::steal_reserve`]. Shedding is two-level: a
 //!   per-queue high-water mark plus a group-wide cap preserving the
-//!   shared queue's total-backlog fast-reject semantics.
+//!   shared queue's total-backlog fast-reject semantics. A one-node
+//!   cluster has one pool, so it gets one queue either way.
 //!
 //! Shutdown ([`Server::shutdown`], or SIGINT/SIGTERM via
 //! `drtm_base::shutdown`) is graceful: the acceptor stops, the queue
@@ -52,8 +53,7 @@ use drtm_base::stats::Counter;
 use drtm_base::sync::{Condvar, Mutex};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::{
-    scrape_cluster, Admission, QueueGroup, RecoveryReport, RoutePolicy, RoutinePool, SubmitQueue,
-    Worker,
+    scrape_cluster, Admission, QueueGroup, RecoveryReport, RoutePolicy, RoutinePool, Worker,
 };
 use drtm_obs::trace::{self, event, event_id, EventKind};
 use drtm_obs::{expo, HistSummary, NetStats, RouteStats, Snapshot, TsRing, TsSample};
@@ -88,8 +88,8 @@ pub struct ServerCfg {
     /// Period of the telemetry sampler thread that feeds the in-server
     /// time-series ring; 0 disables the sampler.
     pub sample_ms: u64,
-    /// Admission dispatcher: `Shared` (one queue, the pre-routing
-    /// behaviour) or `Routed` (per-pool queues + bounded stealing,
+    /// Admission dispatcher: `Shared` (one queue drained by every
+    /// pool) or `Routed` (per-pool queues + bounded stealing,
     /// DESIGN.md §16).
     pub route: RoutePolicy,
     /// Steal floor with `route = Routed`: a pool never drains a sibling
@@ -215,102 +215,84 @@ impl Conn {
     }
 }
 
-/// The admission plane: the one shared queue (routing off) or the
-/// per-pool [`QueueGroup`] plus local/remote dispatch counters
-/// (routing on). Readers submit through it, pumps drain it, telemetry
-/// scrapes it — one enum so no caller can mix the two shapes.
-enum Admit {
-    Shared(Arc<SubmitQueue<Job>>),
-    Routed {
-        group: Arc<QueueGroup<Job>>,
-        /// Admitted requests whose whole shard set was home-owned.
-        local: Counter,
-        /// Admitted requests with at least one off-home shard.
-        remote: Counter,
-    },
+/// The admission plane: one [`QueueGroup`] — a single queue drained by
+/// every pump (routing off) or one queue per pool (routing on) — plus
+/// the router's local/remote dispatch counters. Readers submit through
+/// it, pumps drain it, telemetry scrapes it.
+struct Admit {
+    group: QueueGroup<Job>,
+    /// Admitted requests whose whole shard set was home-owned.
+    local: Counter,
+    /// Admitted requests with at least one off-home shard.
+    remote: Counter,
 }
 
 impl Admit {
+    /// Builds the plane for `cfg`. Routed, each queue's high-water is
+    /// scaled so a single hot pool can hoard at most twice its fair
+    /// share, and the group cap keeps the one-queue total-backlog
+    /// fast-reject semantics exactly.
+    fn new(cfg: &ServerCfg) -> Self {
+        let pools = match cfg.route {
+            RoutePolicy::Shared => 1,
+            RoutePolicy::Routed => cfg.nodes.max(1),
+        };
+        let per_queue = if pools == 1 {
+            cfg.high_water
+        } else {
+            (2 * cfg.high_water / pools).max(1)
+        };
+        Self {
+            group: QueueGroup::new(pools, per_queue, cfg.high_water, cfg.steal_reserve),
+            local: Counter::new(),
+            remote: Counter::new(),
+        }
+    }
+
+    /// Whether admission routes: with one queue there is nothing to
+    /// pick, so the router, its trace event and its counters are
+    /// skipped.
     fn routed(&self) -> bool {
-        matches!(self, Admit::Routed { .. })
+        self.group.pools() > 1
+    }
+
+    /// The member queue `node`'s pump serves.
+    fn pool_of(&self, node: usize) -> usize {
+        if self.routed() {
+            node
+        } else {
+            0
+        }
     }
 
     /// Offers a job to the plane. `home`/`all_local` are the router's
-    /// verdict and are ignored on the shared path.
+    /// verdict and are ignored with one queue.
     fn submit(&self, home: usize, all_local: bool, job: Job) -> Admission {
-        match self {
-            Admit::Shared(q) => q.submit(job),
-            Admit::Routed {
-                group,
-                local,
-                remote,
-            } => {
-                let adm = group.submit(home, job);
-                if adm == Admission::Admitted {
-                    if all_local {
-                        local.inc();
-                    } else {
-                        remote.inc();
-                    }
-                }
-                adm
+        let adm = self.group.submit(home, job);
+        if adm == Admission::Admitted && self.routed() {
+            if all_local {
+                self.local.inc();
+            } else {
+                self.remote.inc();
             }
         }
+        adm
     }
 
-    fn close(&self) {
-        match self {
-            Admit::Shared(q) => q.close(),
-            Admit::Routed { group, .. } => group.close(),
-        }
-    }
-
-    fn accepted(&self) -> u64 {
-        match self {
-            Admit::Shared(q) => q.accepted(),
-            Admit::Routed { group, .. } => group.accepted_total(),
-        }
-    }
-
-    fn rejected(&self) -> u64 {
-        match self {
-            Admit::Shared(q) => q.rejected(),
-            Admit::Routed { group, .. } => group.rejected_total(),
-        }
-    }
-
-    fn depth(&self) -> usize {
-        match self {
-            Admit::Shared(q) => q.depth(),
-            Admit::Routed { group, .. } => group.depth_total(),
-        }
-    }
-
-    fn wait_summary(&self) -> HistSummary {
-        match self {
-            Admit::Shared(q) => HistSummary::of(q.wait_hist()),
-            Admit::Routed { group, .. } => HistSummary::of(group.wait_hist()),
-        }
-    }
-
-    /// The routing section of a scrape; disabled/zero on the shared
-    /// path.
+    /// The routing section of a scrape; disabled/zero with one queue.
     fn route_stats(&self) -> RouteStats {
-        match self {
-            Admit::Shared(_) => RouteStats::default(),
-            Admit::Routed {
-                group,
-                local,
-                remote,
-            } => RouteStats {
-                enabled: true,
-                local: local.get(),
-                remote: remote.get(),
-                steals: group.steals_total(),
-                shed_queue: group.shed_queue(),
-                shed_global: group.shed_global(),
-                depths: group.depths(),
-            },
+        if !self.routed() {
+            return RouteStats::default();
+        }
+        let g = &self.group;
+        RouteStats {
+            enabled: true,
+            local: self.local.get(),
+            remote: self.remote.get(),
+            steals: g.steals_total(),
+            shed_queue: g.shed_queue(),
+            shed_global: g.shed_global(),
+            depths: g.depths(),
         }
     }
 }
@@ -356,12 +338,12 @@ impl Telemetry {
         s.net = NetStats {
             conns_opened: self.conns_opened.get(),
             conns_closed: self.conns_closed.get(),
-            accepted: self.admit.accepted(),
-            rejected: self.admit.rejected(),
+            accepted: self.admit.group.accepted_total(),
+            rejected: self.admit.group.rejected_total(),
             completed: self.completed.get(),
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_depth: self.admit.depth() as u64,
-            queue_wait_ns: self.admit.wait_summary(),
+            queue_depth: self.admit.group.depth_total() as u64,
+            queue_wait_ns: HistSummary::of(self.admit.group.wait_hist()),
         };
         s.route = self.admit.route_stats();
         s
@@ -392,10 +374,10 @@ impl Telemetry {
         }
         TsSample {
             wall_ms: self.started.elapsed().as_millis() as u64,
-            queue_depth: self.admit.depth() as u64,
+            queue_depth: self.admit.group.depth_total() as u64,
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            accepted: self.admit.accepted(),
-            rejected: self.admit.rejected(),
+            accepted: self.admit.group.accepted_total(),
+            rejected: self.admit.group.rejected_total(),
             completed: self.completed.get(),
             committed,
             aborted,
@@ -433,28 +415,7 @@ impl Server {
         let cluster = DrtmCluster::new(cfg.nodes, &sb.schema(), opts);
         smallbank::load(&cluster, &sb);
 
-        // The admission plane: one shared queue, or per-pool queues
-        // with a two-level shed — each queue's high-water scaled so a
-        // single hot pool can hoard at most twice its fair share, the
-        // group cap preserving the shared queue's total-backlog
-        // fast-reject semantics exactly.
-        let admit = match cfg.route {
-            RoutePolicy::Shared => Admit::Shared(Arc::new(SubmitQueue::new(cfg.high_water))),
-            RoutePolicy::Routed => {
-                let pools = cfg.nodes.max(1);
-                let per_queue = (2 * cfg.high_water / pools).max(1);
-                Admit::Routed {
-                    group: Arc::new(QueueGroup::new(
-                        pools,
-                        per_queue,
-                        cfg.high_water,
-                        cfg.steal_reserve,
-                    )),
-                    local: Counter::new(),
-                    remote: Counter::new(),
-                }
-            }
-        };
+        let admit = Admit::new(&cfg);
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -462,9 +423,9 @@ impl Server {
         let tele = Arc::new(Telemetry::new(Arc::clone(&cluster), admit));
 
         // Engine pumps: one routine pool per node. Routing off: every
-        // pool drains the one shared admission queue. Routing on: each
-        // pool serves its own member of the queue group, stealing from
-        // siblings per the group's bounds.
+        // pool drains the one queue. Routing on: each pool serves its
+        // own member of the group, stealing from siblings per the
+        // group's bounds.
         let pumps = (0..cfg.nodes)
             .map(|node| {
                 let cluster = Arc::clone(&cluster);
@@ -473,21 +434,15 @@ impl Server {
                     let workers: Vec<Worker> = (0..cfg.routines.max(1))
                         .map(|r| cluster.worker(node, 0xC0FFEE + (node * 131 + r) as u64))
                         .collect();
-                    match &tele.admit {
-                        Admit::Shared(queue) => {
-                            RoutinePool::serve(workers, queue, async |_, w, job: Job| {
-                                execute_job(w, job, &tele).await;
-                            })
-                        }
-                        Admit::Routed { group, .. } => RoutinePool::serve_group(
-                            workers,
-                            group,
-                            node,
-                            async |_, w, job: Job| {
-                                execute_job(w, job, &tele).await;
-                            },
-                        ),
-                    }
+                    let admit = &tele.admit;
+                    RoutinePool::serve(
+                        workers,
+                        &admit.group,
+                        admit.pool_of(node),
+                        async |_, w, job: Job| {
+                            execute_job(w, job, &tele).await;
+                        },
+                    )
                 })
             })
             .collect();
@@ -621,7 +576,7 @@ impl Server {
     pub fn shutdown(mut self) -> Drained {
         event(EventKind::Net, "drain", 0, 0);
         self.stop.store(true, Ordering::SeqCst);
-        self.tele.admit.close();
+        self.tele.admit.group.close();
         // The pools' virtual clocks are the denominator of any
         // simulated-throughput claim: committed / (virtual_ns / 1e9) is
         // what an A/B across dispatcher policies must compare, not wall
@@ -878,8 +833,8 @@ fn spawn_conn(
                 // made, recomputed from the request id — no wire bit.
                 let tr = trace::trace_for(id);
                 // Routing on: pick the home pool from the request's
-                // shard set before admission. Off: skip the router
-                // entirely so the shared path stays byte-identical.
+                // shard set before admission. Off: one queue, so the
+                // router is skipped entirely.
                 let (home, all_local) = if tele.admit.routed() {
                     home_of_body(&body, tele.cluster.nodes())
                 } else {

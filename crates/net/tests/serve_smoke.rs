@@ -298,11 +298,63 @@ fn stats_scrapes_never_consume_submit_queue_slots() {
     assert_eq!(snap.net.queue_depth, 0);
 }
 
+/// Routing off is a one-queue admission group: after a burst the
+/// drained scrape reports the route section disabled in every format,
+/// and every admission was executed.
+#[test]
+fn route_off_burst_reports_route_disabled() {
+    let server = Server::start(ServerCfg {
+        nodes: 2,
+        accounts: 200,
+        routines: 2,
+        high_water: 16,
+        window: 2_048,
+        route: RoutePolicy::Shared,
+        ..Default::default()
+    })
+    .expect("bind loopback");
+    let initial = server.initial_total();
+    let report = run_client(&ClientCfg {
+        addr: server.local_addr().to_string(),
+        rate: 0.0,
+        requests: 1_000,
+        seed: 11,
+        conns: 2,
+        zero_sum: true,
+        cross_prob: 0.2,
+        shard_skew: 0.0,
+    })
+    .expect("client run");
+    assert_eq!(
+        report.committed + report.aborted + report.rejected,
+        1_000,
+        "every request got exactly one response"
+    );
+
+    let drained = server.shutdown();
+    let snap = &drained.snap;
+    assert!(!snap.route.enabled, "route off must not report route stats");
+    assert_eq!(snap.route, Default::default());
+    assert!(snap.net.accepted > 0);
+    assert_eq!(snap.net.accepted, snap.net.completed);
+    assert_eq!(snap.net.accepted + snap.net.rejected, 1_000);
+    assert_eq!(
+        Server::audit_total(&drained.cluster, &drained.sb),
+        initial,
+        "conservation violated with routing off"
+    );
+    let prom = drtm_obs::expo::render_prometheus(snap);
+    assert!(prom.contains("drtm_route_enabled 0"), "{prom}");
+    let json = drtm_obs::expo::render_json(snap);
+    drtm_obs::jsonlint::validate(&json).expect("stats json parses");
+    assert!(json.contains("\"route\":{\"enabled\":false"), "{json}");
+}
+
 /// The routed dispatcher under the same overload burst: a skewed
 /// offered load lands on a few home queues, sibling pools steal, the
 /// burst sheds through the two-level test, and the drain holds the
 /// conservation audit plus the per-queue `accepted == delivered`
-/// invariant (asserted inside `serve_group`; re-checked here from the
+/// invariant (asserted inside `RoutinePool::serve`; re-checked here from the
 /// scrape's route section).
 #[test]
 fn routed_burst_steals_sheds_conserves_and_drains() {
@@ -434,7 +486,7 @@ fn routed_drain_survives_node_crash_mid_backlog() {
     );
     let drained = server.shutdown();
     let snap = &drained.snap;
-    // The serve_group drain already asserted accepted == delivered per
+    // The serve drain already asserted accepted == delivered per
     // queue (it would have panicked the pump thread otherwise); the
     // scrape-level restatement:
     assert_eq!(snap.net.completed, snap.net.accepted);

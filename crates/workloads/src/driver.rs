@@ -59,12 +59,6 @@ pub struct RunCfg {
     pub no_location_cache: bool,
     /// FaRM-style messaging for remote locking (ablation, §4.4).
     pub msg_locking: bool,
-    /// Commit-phase verbs ride the batched work-queue paths (one
-    /// doorbell per destination node). `false` is the legacy per-record
-    /// blocking baseline. Defaults from `DRTM_VERB_PATH` (`blocking`
-    /// selects the legacy path) so A/B sweeps can toggle it without a
-    /// flag on every binary.
-    pub batched_verbs: bool,
     /// Disable the read-mostly value cache (A/B baseline). The cache
     /// only engages on tables the workload marks read-mostly (YCSB's KV
     /// table on read-heavy mixes, TPC-C's `ITEM`); with this set those
@@ -94,18 +88,6 @@ pub struct RunCfg {
     /// `DRTM_ROUTE` toggle to pick shared-queue vs. shard-affinity
     /// routed admission.
     pub route: RoutePolicy,
-}
-
-/// Reads the `DRTM_VERB_PATH` environment toggle: `blocking` (legacy
-/// per-record verbs) or `batched` / unset (the doorbell-batched
-/// default).
-pub fn verb_path_from_env() -> bool {
-    match std::env::var("DRTM_VERB_PATH") {
-        Ok(v) if v.eq_ignore_ascii_case("blocking") => false,
-        Ok(v) if v.eq_ignore_ascii_case("batched") || v.is_empty() => true,
-        Ok(v) => panic!("DRTM_VERB_PATH must be `batched` or `blocking`, got `{v}`"),
-        Err(_) => true,
-    }
 }
 
 /// Reads the `DRTM_VALUE_CACHE` environment toggle: `off` disables the
@@ -155,7 +137,6 @@ impl Default for RunCfg {
             fuse_lock_validate: false,
             no_location_cache: false,
             msg_locking: false,
-            batched_verbs: verb_path_from_env(),
             no_value_cache: !value_cache_from_env(),
             routines: 1,
             contention: contention_from_env(),
@@ -318,7 +299,6 @@ fn engine_opts(run: &RunCfg, region_size: usize, read_mostly_tables: Vec<u32>) -
         .fuse_lock_validate(run.fuse_lock_validate)
         .use_location_cache(!run.no_location_cache)
         .msg_locking(run.msg_locking)
-        .batched_verbs(run.batched_verbs)
         .value_cache(!run.no_value_cache)
         .read_mostly_tables(read_mostly_tables)
         .routines(run.routines)
@@ -370,7 +350,10 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         throughput: 0.0,
         per_type: HashMap::new(),
     };
-    let mut type_acc: HashMap<&'static str, (u64, f64, f64, f64, f64)> = HashMap::new();
+    // Per type: committed count, summed per-worker throughput, and one
+    // latency histogram merged across workers — quantiles of a merge,
+    // not averages of per-worker quantiles.
+    let mut type_acc: HashMap<&'static str, (u64, f64, Histogram)> = HashMap::new();
     for r in results {
         m.committed += r.committed;
         m.aborted += r.aborted;
@@ -378,25 +361,23 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         let secs = (r.vtime_ns.max(1)) as f64 / 1e9;
         m.throughput += r.committed as f64 / secs;
         for (name, (count, hist)) in r.per_type {
-            let e = type_acc.entry(name).or_insert((0, 0.0, 0.0, 0.0, 0.0));
+            let e = type_acc
+                .entry(name)
+                .or_insert_with(|| (0, 0.0, Histogram::new()));
             e.0 += count;
             e.1 += count as f64 / secs;
-            // Weighted latency aggregation.
-            e.2 += hist.mean() * count as f64;
-            e.3 += hist.quantile(0.5) as f64 * count as f64;
-            e.4 += hist.quantile(0.99) as f64 * count as f64;
+            e.2.merge(&hist);
         }
     }
-    for (name, (count, tps, mean_w, p50_w, p99_w)) in type_acc {
-        let c = count.max(1) as f64;
+    for (name, (count, tps, hist)) in type_acc {
         m.per_type.insert(
             name,
             TypeStats {
                 count,
                 tps,
-                mean_us: mean_w / c / 1e3,
-                p50_us: p50_w / c / 1e3,
-                p99_us: p99_w / c / 1e3,
+                mean_us: hist.mean() / 1e3,
+                p50_us: hist.quantile(0.5) as f64 / 1e3,
+                p99_us: hist.quantile(0.99) as f64 / 1e3,
             },
         );
     }
@@ -820,4 +801,57 @@ async fn sb_loop<M: MeasuredWorker>(
         }
     }
     (committed, per_type)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn worker(vtime_ns: u64, lat_ns: u64, n: u64) -> WorkerResult {
+        let hist = Histogram::new();
+        for _ in 0..n {
+            hist.record(lat_ns);
+        }
+        WorkerResult {
+            vtime_ns,
+            committed: n,
+            aborted: 0,
+            fallbacks: 0,
+            per_type: HashMap::from([("payment", (n, hist))]),
+        }
+    }
+
+    /// Per-type quantiles come from one histogram merged across
+    /// workers. With one fast worker (980 × 10 µs) and one slow worker
+    /// (20 × 10 ms), the true p99 lands among the slow samples, while
+    /// a count-weighted average of per-worker p99s would report about
+    /// 210 µs.
+    #[test]
+    fn per_type_quantiles_come_from_merged_histograms() {
+        let fast = worker(1_000_000_000, 10_000, 980);
+        let slow = worker(1_000_000_000, 10_000_000, 20);
+        let weighted_p99_us = (fast.per_type["payment"].1.quantile(0.99) as f64 * 980.0
+            + slow.per_type["payment"].1.quantile(0.99) as f64 * 20.0)
+            / 1000.0
+            / 1e3;
+
+        let all = Histogram::new();
+        for (lat, n) in [(10_000, 980), (10_000_000, 20)] {
+            for _ in 0..n {
+                all.record(lat);
+            }
+        }
+        let m = aggregate(vec![fast, slow]);
+        let t = &m.per_type["payment"];
+        assert_eq!(t.count, 1000);
+        assert_eq!(t.p50_us, all.quantile(0.5) as f64 / 1e3);
+        assert_eq!(t.p99_us, all.quantile(0.99) as f64 / 1e3);
+        assert!(t.p99_us > 5_000.0, "merged p99 {} µs", t.p99_us);
+        assert!(t.p50_us < 20.0, "merged p50 {} µs", t.p50_us);
+        assert!(
+            weighted_p99_us < 1_000.0,
+            "weighted p99 {weighted_p99_us} µs"
+        );
+        assert!((t.mean_us - (980.0 * 10.0 + 20.0 * 10_000.0) / 1000.0).abs() < 1e-6);
+    }
 }

@@ -199,16 +199,17 @@ fn insert_delete_visibility_across_machines() {
 /// transfers debit two accounts and credit two others across three
 /// machines — so commits routinely ring multi-WR lock, update and
 /// unlock batches per destination — and the global total must be
-/// conserved under the doorbell-batched path exactly as under the
-/// legacy blocking path, across seeds and replica counts.
+/// conserved under the doorbell-batched one-sided path exactly as
+/// under the messaging ablation's per-record lock, C.5 and unlock
+/// path, across seeds and replica counts.
 #[test]
 fn batched_fanout_interleavings_preserve_serializability() {
     for case in 0..3u64 {
-        for batched in [false, true] {
+        for msg_locking in [false, true] {
             let opts = EngineOpts::builder()
                 .replicas(1 + (case % 3) as usize)
                 .region_size(4 << 20)
-                .batched_verbs(batched)
+                .msg_locking(msg_locking)
                 .build();
             let c = DrtmCluster::new(3, &[TableSpec::hash(T, 8192, 16)], opts);
             for shard in 0..3usize {
@@ -258,7 +259,7 @@ fn batched_fanout_interleavings_preserve_serializability() {
                     total += num(&w.run_ro(|t| t.read(shard, T, key(shard, k))).unwrap());
                 }
             }
-            assert_eq!(total, 3 * 8 * 1000, "case={case} batched={batched}");
+            assert_eq!(total, 3 * 8 * 1000, "case={case} msg_locking={msg_locking}");
         }
     }
 }
