@@ -40,13 +40,13 @@ fn parse_engine(s: &str) -> EngineKind {
     }
 }
 
-/// Serializes the run summary as one JSON object. Latencies are the
-/// commit-count-weighted overall quantiles across the mix's transaction
-/// types, in virtual microseconds; `nic_bytes_per_txn` divides every
-/// NIC's wire bytes by committed transactions. The `rev` (kept for
-/// artifact compatibility), shared `stamp` (git rev + UTC + full
-/// `RunCfg`), and `pipeline` fields make the artifact self-describing
-/// across PRs.
+/// Serializes the run summary as one JSON object. `p50`/`p99` are the
+/// whole-mix quantiles of one latency histogram merged across every
+/// transaction type, in virtual microseconds; `nic_bytes_per_txn`
+/// divides every NIC's wire bytes by committed transactions. The `rev`
+/// (kept for artifact compatibility), shared `stamp` (git rev + UTC +
+/// full `RunCfg`), and `pipeline` fields make the artifact
+/// self-describing across PRs.
 fn json_summary(
     workload: &str,
     m: &Measurement,
@@ -57,13 +57,6 @@ fn json_summary(
 ) -> String {
     let attempts = (m.committed + m.aborted).max(1);
     let abort_rate = m.aborted as f64 / attempts as f64;
-    let (mut p50, mut p99, mut n) = (0.0f64, 0.0f64, 0u64);
-    for t in m.per_type.values() {
-        p50 += t.p50_us * t.count as f64;
-        p99 += t.p99_us * t.count as f64;
-        n += t.count;
-    }
-    let c = n.max(1) as f64;
     format!(
         concat!(
             "{{\"workload\":\"{}\",\"rev\":\"{}\",\"routines\":{},",
@@ -81,8 +74,8 @@ fn json_summary(
         stamp::stamp_json(Some(run)),
         m.throughput,
         abort_rate,
-        p50 / c,
-        p99 / c,
+        m.p50_us,
+        m.p99_us,
         nic_bytes as f64 / m.committed.max(1) as f64,
         pipeline.routines,
         pipeline.wait_ns,

@@ -2095,12 +2095,13 @@ mod tests {
             assert!(text.contains(phase), "missing phase {phase}: {text}");
         }
         // A hot 50-account working set with 40% cross-machine traffic
-        // must produce real contention aborts.
+        // must produce real contention aborts. Text prints a group's line
+        // only when some value in it is non-zero.
         assert!(
-            !text.contains("aborts by reason: none"),
+            text.lines().any(|l| l.starts_with("aborts: ")),
             "expected nonzero abort breakdown: {text}"
         );
-        assert!(text.contains("nic verbs"), "{text}");
+        assert!(text.lines().any(|l| l.starts_with("nic: count[")), "{text}");
         // The benchmark cluster is stats-only for KV commands.
         assert!(sh.execute(Cmd::Get { shard: 0, key: 1 }).is_err());
         // Prom and JSON forms.

@@ -13,7 +13,8 @@
 //!   ring buffers of engine events with wall *and* virtual timestamps,
 //!   exportable as chrome://tracing JSON;
 //! * **exposition** ([`expo`]): Prometheus-style text, JSON, and human
-//!   tables rendered from a [`Snapshot`];
+//!   tables rendered from a [`Snapshot`] by walking one table of metric
+//!   descriptors, so every format shows the same series and numbers;
 //! * a **time-series ring** ([`timeseries`]): a bounded history of
 //!   periodic server telemetry samples (queue depth, in-flight, abort
 //!   mix) a live server scrapes into and exports alongside the trace.

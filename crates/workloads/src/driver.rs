@@ -171,6 +171,12 @@ pub struct Measurement {
     pub fallbacks: u64,
     /// Cluster throughput over the whole mix, txns/sec (virtual time).
     pub throughput: f64,
+    /// Whole-mix median latency in virtual microseconds, from one
+    /// histogram merged across every type and worker.
+    pub p50_us: f64,
+    /// Whole-mix 99th-percentile latency in virtual microseconds (same
+    /// merged histogram).
+    pub p99_us: f64,
     /// Per-type breakdown, keyed by type name.
     pub per_type: HashMap<&'static str, TypeStats>,
 }
@@ -348,12 +354,16 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         aborted: 0,
         fallbacks: 0,
         throughput: 0.0,
+        p50_us: 0.0,
+        p99_us: 0.0,
         per_type: HashMap::new(),
     };
     // Per type: committed count, summed per-worker throughput, and one
     // latency histogram merged across workers — quantiles of a merge,
-    // not averages of per-worker quantiles.
+    // not averages of per-worker quantiles. `all` merges every type for
+    // the whole-mix quantiles.
     let mut type_acc: HashMap<&'static str, (u64, f64, Histogram)> = HashMap::new();
+    let all = Histogram::new();
     for r in results {
         m.committed += r.committed;
         m.aborted += r.aborted;
@@ -367,8 +377,11 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
             e.0 += count;
             e.1 += count as f64 / secs;
             e.2.merge(&hist);
+            all.merge(&hist);
         }
     }
+    m.p50_us = all.quantile(0.5) as f64 / 1e3;
+    m.p99_us = all.quantile(0.99) as f64 / 1e3;
     for (name, (count, tps, hist)) in type_acc {
         m.per_type.insert(
             name,
@@ -807,7 +820,7 @@ async fn sb_loop<M: MeasuredWorker>(
 mod tests {
     use super::*;
 
-    fn worker(vtime_ns: u64, lat_ns: u64, n: u64) -> WorkerResult {
+    fn worker(name: &'static str, vtime_ns: u64, lat_ns: u64, n: u64) -> WorkerResult {
         let hist = Histogram::new();
         for _ in 0..n {
             hist.record(lat_ns);
@@ -817,7 +830,7 @@ mod tests {
             committed: n,
             aborted: 0,
             fallbacks: 0,
-            per_type: HashMap::from([("payment", (n, hist))]),
+            per_type: HashMap::from([(name, (n, hist))]),
         }
     }
 
@@ -828,8 +841,8 @@ mod tests {
     /// 210 µs.
     #[test]
     fn per_type_quantiles_come_from_merged_histograms() {
-        let fast = worker(1_000_000_000, 10_000, 980);
-        let slow = worker(1_000_000_000, 10_000_000, 20);
+        let fast = worker("payment", 1_000_000_000, 10_000, 980);
+        let slow = worker("payment", 1_000_000_000, 10_000_000, 20);
         let weighted_p99_us = (fast.per_type["payment"].1.quantile(0.99) as f64 * 980.0
             + slow.per_type["payment"].1.quantile(0.99) as f64 * 20.0)
             / 1000.0
@@ -853,5 +866,39 @@ mod tests {
             "weighted p99 {weighted_p99_us} µs"
         );
         assert!((t.mean_us - (980.0 * 10.0 + 20.0 * 10_000.0) / 1000.0).abs() < 1e-6);
+    }
+
+    /// Whole-mix quantiles come from one histogram merged across types.
+    /// With 900 fast payments (10 µs) and 100 slow new-orders (10 ms),
+    /// the mix p99 lies among the slow samples and the mix p50 among the
+    /// fast ones; a commit-weighted average of per-type quantiles puts
+    /// both near 1 ms, where no sample lies.
+    #[test]
+    fn whole_mix_quantiles_come_from_one_merged_histogram() {
+        let m = aggregate(vec![
+            worker("payment", 1_000_000_000, 10_000, 900),
+            worker("new-order", 1_000_000_000, 10_000_000, 100),
+        ]);
+        let weighted = |q: fn(&TypeStats) -> f64| {
+            m.per_type
+                .values()
+                .map(|t| q(t) * t.count as f64)
+                .sum::<f64>()
+                / 1000.0
+        };
+        let (w50, w99) = (weighted(|t| t.p50_us), weighted(|t| t.p99_us));
+        assert!((500.0..2_000.0).contains(&w50), "weighted p50 {w50} µs");
+        assert!((500.0..2_000.0).contains(&w99), "weighted p99 {w99} µs");
+
+        let all = Histogram::new();
+        for (lat, n) in [(10_000, 900), (10_000_000, 100)] {
+            for _ in 0..n {
+                all.record(lat);
+            }
+        }
+        assert_eq!(m.p50_us, all.quantile(0.5) as f64 / 1e3);
+        assert_eq!(m.p99_us, all.quantile(0.99) as f64 / 1e3);
+        assert!(m.p50_us < 20.0, "mix p50 {} µs", m.p50_us);
+        assert!(m.p99_us > 5_000.0, "mix p99 {} µs", m.p99_us);
     }
 }
